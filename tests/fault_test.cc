@@ -11,17 +11,24 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "hsd/filter.hh"
 #include "ir/instruction.hh"
+#include "ir/verify.hh"
+#include "runtime/bundle.hh"
 #include "runtime/controller.hh"
 #include "runtime/stats.hh"
+#include "runtime/synth_cache.hh"
 #include "support/fault.hh"
 #include "support/thread_pool.hh"
 #include "trace/engine.hh"
+#include "vp/pipeline.hh"
 #include "workload/benchmarks.hh"
 
 namespace
@@ -379,6 +386,148 @@ TEST(FaultRuntime, DifferentSeedsDifferentFaults)
     const RuntimeStats sb = b.run();
     // Both runs survive; the injected sequences are seed-dependent.
     EXPECT_GT(sa.faults.total() + sb.faults.total(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Safety nets behind the install gate, tripped through the
+// SynthesisCache seam: no fault kind reaches them, so a mock cache
+// serves the controller a prepared bundle in place of its own build.
+
+/** Every offline-detected phase of @p w, synthesized (non-empty only). */
+std::vector<PackageBundle>
+offlineBundles(const workload::Workload &w, const VpConfig &cfg)
+{
+    VacuumPacker packer(w, cfg);
+    const VpResult r = packer.run();
+    std::vector<PackageBundle> out;
+    for (const hsd::HotSpotRecord &rec : r.records) {
+        PackageBundle b =
+            synthesizeBundle(w.program, canonicalizeRecord(rec), cfg);
+        if (!b.empty())
+            out.push_back(std::move(b));
+    }
+    return out;
+}
+
+/** SynthesisCache mock: answers lookups through @p serve (nullptr
+ *  means "not cached", so the controller builds locally) and counts
+ *  taint() reports. */
+struct ServingCache final : SynthesisCache
+{
+    std::function<std::shared_ptr<const PackageBundle>(
+        const hsd::HotSpotRecord &)>
+        serve;
+    std::size_t lookups = 0;
+    std::size_t taints = 0;
+
+    std::shared_ptr<const PackageBundle>
+    lookup(const hsd::HotSpotRecord &record, unsigned) override
+    {
+        ++lookups;
+        return serve(record);
+    }
+
+    void
+    publish(const hsd::HotSpotRecord &, unsigned, const PackageBundle &,
+            bool) override
+    {}
+
+    void
+    taint(const hsd::HotSpotRecord &, unsigned) override
+    {
+        ++taints;
+    }
+};
+
+TEST(SafetyNet, InstallRollbackUndoesAStructurallyBrokenSplice)
+{
+    workload::Workload w = workload::makeGzip("A");
+    RuntimeConfig cfg;
+    cfg.verifyBeforeInstall = false; // let the broken bundle reach install
+
+    // The orphaned-launch-arc tamper of verify_test, in its severing
+    // form: one launch arc of the bundle is cut instead of redirected.
+    // LivePatcher::install applies the diff verbatim, leaving a branch
+    // without its taken target that only ir::verifyProgram catches.
+    const std::vector<PackageBundle> bundles = offlineBundles(w, cfg.vp);
+    ASSERT_FALSE(bundles.empty());
+    auto tampered = std::make_shared<PackageBundle>(bundles.front());
+    bool cut = false;
+    ir::Program &scratch = tampered->packaged.program;
+    for (ir::FuncId f = 0; f < w.program.numFunctions() && !cut; ++f) {
+        for (ir::BlockId b = 0; b < w.program.func(f).numBlocks(); ++b) {
+            ir::BasicBlock &sb = scratch.func(f).block(b);
+            if (sb.taken != w.program.func(f).block(b).taken) {
+                sb.taken = ir::kNoBlockRef;
+                cut = true;
+                break;
+            }
+        }
+    }
+    ASSERT_TRUE(cut) << "bundle has no taken-arc launch point";
+
+    // Served once: every later job synthesizes locally.
+    ServingCache cache;
+    cache.serve = [&](const hsd::HotSpotRecord &) {
+        return cache.lookups == 1 ? tampered : nullptr;
+    };
+    RuntimeController controller(w, cfg);
+    controller.setSynthesisCache(&cache);
+    const RuntimeStats s = controller.run();
+
+    EXPECT_EQ(s.installRollbacks, 1u);
+    EXPECT_EQ(s.quarantines, 1u);
+    EXPECT_EQ(cache.taints, 1u);
+    EXPECT_EQ(s.liveVerifyFailures, 0u);
+    const Status st = ir::verifyProgram(controller.liveProgram(), "test");
+    EXPECT_TRUE(st.isOk()) << st.message();
+
+    // Drained undo log: run() unpatched every resident bundle, so every
+    // original-code arc is back at its pristine value.
+    const ir::Program &live = controller.liveProgram();
+    for (ir::FuncId f = 0; f < w.program.numFunctions(); ++f) {
+        for (ir::BlockId b = 0; b < w.program.func(f).numBlocks(); ++b) {
+            const ir::BasicBlock &lb = live.func(f).block(b);
+            const ir::BasicBlock &pb = w.program.func(f).block(b);
+            EXPECT_EQ(lb.taken, pb.taken) << "f" << f << " b" << b;
+            EXPECT_EQ(lb.fall, pb.fall) << "f" << f << " b" << b;
+            EXPECT_EQ(lb.callee, pb.callee) << "f" << f << " b" << b;
+        }
+    }
+}
+
+TEST(SafetyNet, WatchdogDeoptsABundleBuiltForAnotherPhase)
+{
+    workload::Workload w = workload::makeIjpeg("A");
+    RuntimeConfig cfg;
+    cfg.watchdog = true;
+
+    // Structurally valid bundles (they pass the install gate), but each
+    // detection is served the one synthesized for the phase its record
+    // overlaps least: the packages do not cover what is running, so
+    // the bundle stays cold until the watchdog deopts it.
+    const std::vector<PackageBundle> bundles = offlineBundles(w, cfg.vp);
+    ASSERT_GT(bundles.size(), 1u);
+    ServingCache cache;
+    cache.serve = [&](const hsd::HotSpotRecord &rec) {
+        const PackageBundle *far = &bundles.front();
+        for (const PackageBundle &b : bundles) {
+            if (hsd::hotSpotOverlap(b.record, rec, cfg.vp.filter) <
+                hsd::hotSpotOverlap(far->record, rec, cfg.vp.filter))
+                far = &b;
+        }
+        return std::make_shared<const PackageBundle>(*far);
+    };
+    RuntimeController controller(w, cfg);
+    controller.setSynthesisCache(&cache);
+    const RuntimeStats s = controller.run();
+
+    EXPECT_GE(s.watchdogDeopts, 1u);
+    EXPECT_EQ(s.verifierRejects, 0u);
+    EXPECT_EQ(s.installRollbacks, 0u);
+    EXPECT_EQ(cache.taints, s.watchdogDeopts);
+    const Status st = ir::verifyProgram(controller.liveProgram(), "test");
+    EXPECT_TRUE(st.isOk()) << st.message();
 }
 
 TEST(ThreadPool, CountsAndDropsSubsequentTaskErrors)

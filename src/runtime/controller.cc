@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 
 #include "ir/verify.hh"
 #include "support/logging.hh"
@@ -32,6 +33,50 @@ subsumeConfig(const RuntimeConfig &cfg)
     return m;
 }
 
+/** Steps of retiring a cache entry; a resident one is always unpatched
+ *  first, and the row's counter bumps once per retirement. */
+enum RetireStep : unsigned
+{
+    kDormant = 1u << 0,      ///< clearResident (bundle kept), else remove
+    kZombie = 1u << 1,       ///< lazy-deopt count + tombstone queue
+    kOffense = 1u << 2,      ///< quarantine + taint a shared-cache copy
+    kInherit = 1u << 3,      ///< the heir takes allFuncs / usageBias
+    kResidentOnly = 1u << 4, ///< a dormant entry does not bump the counter
+    kEvicted = 1u << 5,      ///< stamp BundleStats::evictedQuantum
+    kPromoted = 1u << 6,     ///< stamp BundleStats::promotedQuantum
+    kRejected = 1u << 7,     ///< set BundleStats::rejected
+    kDeopted = 1u << 8,      ///< ++BundleStats::watchdogDeopts
+};
+
+struct RetireRule
+{
+    unsigned steps;
+    std::size_t RuntimeStats::*counter;
+};
+
+/** The retirement table, one row per RuntimeController::Retire value. */
+constexpr RetireRule kRetireRules[] = {
+    /* Displaced */
+    {kDormant | kZombie, &RuntimeStats::displacements},
+    /* Evicted */
+    {kZombie | kEvicted, &RuntimeStats::evictions},
+    /* Superseded */
+    {kZombie | kEvicted | kResidentOnly, &RuntimeStats::displacements},
+    /* Promoted */
+    {kZombie | kInherit | kEvicted | kPromoted, &RuntimeStats::promotions},
+    /* Absorbed */
+    {kZombie | kInherit | kEvicted, &RuntimeStats::fragmentsRetired},
+    /* WatchdogDeopt */
+    {kDormant | kZombie | kOffense | kDeopted, &RuntimeStats::watchdogDeopts},
+    /* GateReject */
+    {kOffense | kEvicted | kRejected, &RuntimeStats::verifierRejects},
+    /* RolledBack */
+    {kZombie | kOffense | kEvicted | kRejected,
+     &RuntimeStats::installRollbacks},
+    /* EndOfRun */
+    {kDormant | kEvicted, &RuntimeStats::tier0EndOfRunRetires},
+};
+
 } // namespace
 
 RuntimeController::RuntimeController(const workload::Workload &w,
@@ -59,12 +104,8 @@ RuntimeController::~RuntimeController()
     // ~LivePatcher asserts it empty, and a supervised tenant teardown
     // must never escalate to a process abort. unpatch() is idempotent,
     // so after a normal run() (which already unpatched everything) this
-    // loop only bumps redundantRestores on an already-dead object.
-    for (std::size_t i = 0; i < cache_.size(); ++i) {
-        CacheEntry &e = cache_.entry(i);
-        if (e.resident)
-            patcher_.unpatch(e.installed);
-    }
+    // only bumps redundantRestores on an already-dead object.
+    unpatchResidents();
 }
 
 RuntimeStats
@@ -96,7 +137,10 @@ RuntimeController::run()
     // (their tier-1 was abandoned in flight, failed, or was blocked by
     // quarantine) are retired now, so no run ends serving unpromoted
     // fast-install code.
-    retireTier0AtEnd();
+    for (std::size_t i = 0; i < cache_.size(); ++i) {
+        if (cache_.entry(i).resident && cache_.entry(i).bundle.tier == 0)
+            retire(i, Retire::EndOfRun);
+    }
 
     // Shutdown drain: the engine is quiescent, so every limbo item is
     // past its grace period — the run must end with an empty retire
@@ -129,11 +173,7 @@ RuntimeController::run()
     // undo log. The spliced functions stay — the run is over, no engine
     // will enter them — and the stats above were collected first, so
     // nothing observable changes.
-    for (std::size_t i = 0; i < cache_.size(); ++i) {
-        CacheEntry &e = cache_.entry(i);
-        if (e.resident)
-            patcher_.unpatch(e.installed);
-    }
+    unpatchResidents();
     stats_.redundantRestores = patcher_.redundantRestores();
     return stats_;
 }
@@ -248,18 +288,7 @@ RuntimeController::watchdog()
         // it through the undo log and quarantine the phase; the cached
         // bundle stays dormant for a backed-off retry.
         e.coldQuanta = 0;
-        patcher_.unpatch(e.installed);
-        if (engineReferences(e.installed.funcs))
-            ++stats_.lazyDeopts;
-        zombies_.push_back(e.installed.funcs);
-        cache_.clearResident(i);
-        cache_.quarantine(e.bundle.record, quantum_,
-                          cfg_.quarantineBaseQuanta,
-                          cfg_.quarantineMaxQuanta);
-        ++stats_.quarantines;
-        ++stats_.watchdogDeopts;
-        ++stats_.bundles[e.bundleIndex].watchdogDeopts;
-        taintShared(e);
+        retire(i, Retire::WatchdogDeopt);
     }
 }
 
@@ -376,33 +405,26 @@ RuntimeController::drainDetections()
         // same rule keeps loose-match slack from reviving a dormant
         // fragment whose record is a strict subset of a resident entry's:
         // the resident superset is preferred over any dormant match.
+        //
+        // Unmerged supersets answer only while they are *actively
+        // serving*: sameHotSpot's symmetric missing-fraction rule rejects
+        // a small subset of a big record from either side, so without
+        // this a fragment-sized detection of a phase a live bundle is
+        // demonstrably covering would rebuild and displace it. A merged
+        // superset of an unmatched detection is served even when cold —
+        // its union record was the synthesis input, so the bundle
+        // packages the fragment by construction. Against a dormant match
+        // the bar is the aliased-hit redirect's: only an actively serving
+        // superset absorbs the detection. A resident-but-fading superset
+        // means the phase is handing over — the dormant entry's revival
+        // is the right response, not a redirect that would strand it.
         if (cfg_.mergeOverlapping) {
-            if (hit == PackageCache::npos) {
-                // Unmerged supersets answer too, but only while they
-                // are *actively serving*: sameHotSpot's symmetric
-                // missing-fraction rule rejects a small subset of a big
-                // record from either side, so without this a
-                // fragment-sized detection of a phase a live bundle is
-                // demonstrably covering would rebuild and displace it.
-                // A merged superset is served even when cold — its
-                // union record was the synthesis input, so the bundle
-                // packages the fragment by construction.
-                const std::size_t sup = cache_.findSuperset(rec, true);
-                if (sup != PackageCache::npos &&
-                    (!cache_.entry(sup).mergedFrom.empty() ||
-                     activeNow(cache_.entry(sup)))) {
-                    hit = sup;
-                    ++stats_.subsumptionHits;
-                }
-            } else if (!cache_.entry(hit).resident) {
-                // Same bar as the aliased-hit redirect above: only an
-                // *actively serving* superset absorbs the detection. A
-                // resident-but-fading superset means the phase is
-                // handing over — the dormant entry's revival is the
-                // right response, not a redirect that would strand it.
+            if (hit == PackageCache::npos || !cache_.entry(hit).resident) {
                 const std::size_t sup = cache_.findSuperset(rec, true);
                 if (sup != PackageCache::npos && sup != hit &&
-                    activeNow(cache_.entry(sup))) {
+                    (activeNow(cache_.entry(sup)) ||
+                     (hit == PackageCache::npos &&
+                      !cache_.entry(sup).mergedFrom.empty()))) {
                     hit = sup;
                     ++stats_.subsumptionHits;
                 }
@@ -493,19 +515,10 @@ RuntimeController::drainDetections()
                 // quarantine just expired) and none is already cached
                 // awaiting a deferred promotion, resubmit the tier-1 job.
                 if (cfg_.tiering && e.bundle.tier == 0 &&
-                    !tierInFlight(rec, 1)) {
-                    bool cached_t1 = false;
-                    for (std::size_t i = 0;
-                         i < cache_.size() && !cached_t1; ++i) {
-                        const CacheEntry &c = cache_.entry(i);
-                        cached_t1 = c.bundle.tier >= 1 &&
-                                    hsd::sameHotSpot(c.bundle.record, rec,
-                                                     cacheMatch_);
-                    }
-                    if (!cached_t1) {
-                        ++stats_.promotionRebuilds;
-                        submitJob(rec, 1, false, {});
-                    }
+                    !inFlight(rec, 1) &&
+                    twinOf(rec, 1) == PackageCache::npos) {
+                    ++stats_.promotionRebuilds;
+                    submitJob(rec, 1, {});
                 }
                 continue;
             }
@@ -515,11 +528,7 @@ RuntimeController::drainDetections()
             ++stats_.staleHits;
         }
 
-        const bool in_flight =
-            std::any_of(jobs_.begin(), jobs_.end(), [&](const Job &j) {
-                return hsd::sameHotSpot(j.record, rec, cacheMatch_);
-            });
-        if (in_flight) {
+        if (inFlight(rec)) {
             ++stats_.inFlightHits;
             continue;
         }
@@ -533,7 +542,6 @@ RuntimeController::drainDetections()
         // matches future narrow snapshots of the phase under the
         // symmetric missing-fraction rule.
         hsd::HotSpotRecord build = rec;
-        bool merged = false;
         std::vector<std::uint64_t> merged_from;
         if (hit != PackageCache::npos && !merge_hit) {
             if (cfg_.mergeOverlapping) {
@@ -551,7 +559,6 @@ RuntimeController::drainDetections()
                 // the fresh record.
                 merged_from.push_back(cache_.entry(hit).id);
                 build = unionRecords(build, cache_.entry(hit).bundle.record);
-                merged = true;
                 ++stats_.merges;
             } else {
                 build = mergeRecords(std::move(build),
@@ -595,48 +602,36 @@ RuntimeController::drainDetections()
                 // The union may itself match a job already in flight
                 // (a previous detection of another fragment coalesced to
                 // the same union); don't submit a rival.
-                const bool union_in_flight = std::any_of(
-                    jobs_.begin(), jobs_.end(), [&](const Job &j) {
-                        return hsd::sameHotSpot(j.record, build,
-                                                cacheMatch_);
-                    });
-                if (union_in_flight) {
+                if (inFlight(build)) {
                     ++stats_.inFlightHits;
                     continue;
                 }
-                merged = true;
                 ++stats_.merges;
             }
         }
-        submitSynthesis(build, merged, std::move(merged_from));
+        // Tiered: the fast bundle goes first so its (smaller) ready
+        // quantum wins the completion order against its own tier-1 twin.
+        // Both tiers carry the merge provenance — whichever installs
+        // first may retire the fragments (the survivor of the twin race
+        // inherits the job).
+        if (cfg_.tiering)
+            submitJob(build, 0, merged_from);
+        submitJob(build, 1, merged_from);
     }
 }
 
-void
-RuntimeController::submitSynthesis(const hsd::HotSpotRecord &rec, bool merged,
-                                   std::vector<std::uint64_t> merged_from)
-{
-    // Tiered: the fast bundle goes first so its (smaller) ready quantum
-    // wins the completion order against its own tier-1 twin. Both tiers
-    // carry the merge provenance — whichever installs first may retire
-    // the fragments (the survivor of the twin race inherits the job).
-    if (cfg_.tiering)
-        submitJob(rec, 0, merged, merged_from);
-    submitJob(rec, 1, merged, merged_from);
-}
-
 bool
-RuntimeController::tierInFlight(const hsd::HotSpotRecord &rec,
-                                unsigned tier) const
+RuntimeController::inFlight(const hsd::HotSpotRecord &rec,
+                            std::optional<unsigned> tier) const
 {
     return std::any_of(jobs_.begin(), jobs_.end(), [&](const Job &j) {
-        return j.tier == tier && hsd::sameHotSpot(j.record, rec, cacheMatch_);
+        return (!tier || j.tier == *tier) &&
+               hsd::sameHotSpot(j.record, rec, cacheMatch_);
     });
 }
 
 void
 RuntimeController::submitJob(const hsd::HotSpotRecord &rec, unsigned tier,
-                             bool merged,
                              const std::vector<std::uint64_t> &merged_from)
 {
     if (tier == 0)
@@ -647,7 +642,6 @@ RuntimeController::submitJob(const hsd::HotSpotRecord &rec, unsigned tier,
     Job job;
     job.record = rec;
     job.tier = tier;
-    job.merged = merged;
     job.mergedFrom = merged_from;
     job.seq = nextJobSeq_++;
     job.submitQuantum = quantum_;
@@ -725,18 +719,15 @@ RuntimeController::completeReadyJobs()
     // pure function of the detection sequence, but a tier-0 fast job is
     // never held back behind an earlier-submitted, slower tier-1 build.
     while (!jobs_.empty()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < jobs_.size(); ++i) {
-            if (jobs_[i].readyQuantum < jobs_[best].readyQuantum ||
-                (jobs_[i].readyQuantum == jobs_[best].readyQuantum &&
-                 jobs_[i].seq < jobs_[best].seq)) {
-                best = i;
-            }
-        }
-        if (jobs_[best].readyQuantum > quantum_)
+        const auto best = std::min_element(
+            jobs_.begin(), jobs_.end(), [](const Job &a, const Job &b) {
+                return std::tie(a.readyQuantum, a.seq) <
+                       std::tie(b.readyQuantum, b.seq);
+            });
+        if (best->readyQuantum > quantum_)
             break;
-        Job job = std::move(jobs_[best]);
-        jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(best));
+        Job job = std::move(*best);
+        jobs_.erase(best);
         if (!job.done->load(std::memory_order_acquire))
             pool_.wait(); // wall-clock catch-up; results already fixed
         completeJob(job);
@@ -767,7 +758,7 @@ RuntimeController::completeJob(const Job &job)
     // a warm tenant then skips even the no-op build.
     if (synthCache_) {
         synthCache_->publish(job.record, job.tier, job.result->bundle,
-                             job.merged);
+                             !job.mergedFrom.empty());
         ++stats_.sharedCachePublishes;
     }
 
@@ -807,7 +798,7 @@ RuntimeController::completeJob(const Job &job)
         // still serving, while a rival build of the same union keys
         // identically and is dropped as before.
         const bool same_phase =
-            !job.merged ||
+            job.mergedFrom.empty() ||
             phaseKey(t.bundle.record, cfg_.vp.filter.biasHigh) ==
                 phaseKey(bundle.record, cfg_.vp.filter.biasHigh);
         if (bundle.tier == 0 && t.bundle.tier >= 1 && activeNow(t) &&
@@ -827,10 +818,8 @@ RuntimeController::completeJob(const Job &job)
             // after verification), so a bad full build never costs the
             // healthy fast bundle. An empty pair (the packager found
             // nothing for either tier) collapses to the tier-1 record.
-            if (bundle.empty()) {
-                CacheEntry gone = cache_.remove(twin);
-                stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
-            }
+            if (bundle.empty())
+                retire(twin, Retire::Superseded);
         } else if (activeNow(t) && same_phase) {
             // The job was submitted through a stale hit (or the matching
             // entry appeared while it compiled). The twin turned active
@@ -843,29 +832,17 @@ RuntimeController::completeJob(const Job &job)
             // this merged build, its removal is the coalescing's
             // fragment retirement, not a sibling displacement — the
             // merged bundle replaces it by construction.
-            CacheEntry gone = cache_.remove(twin);
             const bool fragment =
-                job.merged &&
                 std::find(job.mergedFrom.begin(), job.mergedFrom.end(),
-                          gone.id) != job.mergedFrom.end();
-            if (gone.resident) {
-                patcher_.unpatch(gone.installed);
-                if (engineReferences(gone.installed.funcs))
-                    ++stats_.lazyDeopts;
-                zombies_.push_back(gone.installed.funcs);
-                if (!fragment)
-                    ++stats_.displacements;
-            }
-            if (fragment)
-                ++stats_.fragmentsRetired;
-            stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
+                          t.id) != job.mergedFrom.end();
+            retire(twin, fragment ? Retire::Absorbed : Retire::Superseded);
         }
     }
 
     BundleStats bs;
     bs.key = bundle.key;
     bs.tier = bundle.tier;
-    bs.merged = job.merged;
+    bs.merged = !job.mergedFrom.empty();
     bs.packages = bundle.packaged.packages.size();
     bs.weight = bundle.weight();
     bs.submittedQuantum = job.submitQuantum;
@@ -890,11 +867,8 @@ RuntimeController::processActivations()
     // rather than spin inside this one.
     std::deque<std::uint64_t> batch;
     batch.swap(pendingActivations_);
-    while (!batch.empty()) {
-        const std::uint64_t id = batch.front();
-        batch.pop_front();
+    for (std::uint64_t id : batch)
         activate(id);
-    }
 }
 
 void
@@ -905,12 +879,13 @@ RuntimeController::activate(std::uint64_t entry_id)
         return; // evicted while queued
     if (cache_.entry(idx).resident)
         return;
+    const hsd::HotSpotRecord rec = cache_.entry(idx).bundle.record;
 
     // Quarantine first, before anything is spliced: the phase may have
     // offended after this activation was queued (a same-boundary
     // watchdog deopt or gate reject). The entry stays dormant; a
     // detection after the backoff expires re-queues it.
-    if (cache_.quarantined(cache_.entry(idx).bundle.record, quantum_)) {
+    if (cache_.quarantined(rec, quantum_)) {
         ++stats_.quarantineBlockedInstalls;
         return;
     }
@@ -925,21 +900,15 @@ RuntimeController::activate(std::uint64_t entry_id)
     // resident tier-0 twin (identical records, mutually subsuming) must
     // reach the promotion path below, not die here.
     if (cfg_.mergeOverlapping) {
-        const CacheEntry &self = cache_.entry(idx);
         for (std::size_t j = 0; j < cache_.size(); ++j) {
             const CacheEntry &o = cache_.entry(j);
             if (j == idx || !o.resident || o.mergedFrom.empty() ||
-                o.bundle.record.branches.size() <
-                    self.bundle.record.branches.size() ||
-                !hsd::subsumesHotSpot(o.bundle.record, self.bundle.record,
-                                      subsume_) ||
-                hsd::sameHotSpot(o.bundle.record, self.bundle.record,
-                                 cacheMatch_)) {
+                o.bundle.record.branches.size() < rec.branches.size() ||
+                !hsd::subsumesHotSpot(o.bundle.record, rec, subsume_) ||
+                hsd::sameHotSpot(o.bundle.record, rec, cacheMatch_)) {
                 continue;
             }
-            CacheEntry gone = cache_.remove(idx);
-            stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
-            ++stats_.fragmentsRetired;
+            retire(idx, Retire::Absorbed);
             return;
         }
     }
@@ -959,31 +928,20 @@ RuntimeController::activate(std::uint64_t entry_id)
     // server does not trip the pending revival, while a genuine fade
     // releases it within two boundaries. A partial owner never blocks:
     // the incoming bundle is the better evidence then.
+    const std::uint64_t saturated = cfg_.quantumInsts * 19 / 20;
     if (stats_.bundles[cache_.entry(idx).bundleIndex].installedQuantum !=
             BundleStats::kNever &&
-        cache_.entry(idx).bestDeltaRetires < cfg_.quantumInsts * 19 / 20) {
-        const CacheEntry &self = cache_.entry(idx);
-        const std::uint64_t saturated = cfg_.quantumInsts * 19 / 20;
-        bool blocked = false;
-        for (const Patch &p : patcher_.launchPointsOf(self.bundle)) {
-            if (!patcher_.diverted(p))
-                continue;
-            for (std::size_t j = 0; j < cache_.size() && !blocked; ++j) {
-                const CacheEntry &o = cache_.entry(j);
-                if (j == idx || !o.resident ||
-                    std::max(o.lastDeltaRetires, o.prevDeltaRetires) <
-                        saturated) {
-                    continue;
-                }
-                blocked = std::any_of(
-                    o.installed.patches.begin(), o.installed.patches.end(),
-                    [&](const Patch &op) {
-                        return op.at == p.at && op.field == p.field;
-                    });
-            }
-            if (blocked)
-                break;
-        }
+        cache_.entry(idx).bestDeltaRetires < saturated) {
+        const std::vector<Patch> wants =
+            patcher_.launchPointsOf(cache_.entry(idx).bundle);
+        const bool blocked =
+            std::any_of(wants.begin(), wants.end(), [&](const Patch &p) {
+                const std::size_t o = arcOwner(p);
+                return o != PackageCache::npos &&
+                       std::max(cache_.entry(o).lastDeltaRetires,
+                                cache_.entry(o).prevDeltaRetires) >=
+                           saturated;
+            });
         if (blocked) {
             ++stats_.deferredReinstalls;
             pendingActivations_.push_back(entry_id);
@@ -1000,18 +958,17 @@ RuntimeController::activate(std::uint64_t entry_id)
     // the tier-1 re-queues each boundary, before the install gate so a
     // long wait draws no extra verifier verdicts, and promotes at the
     // first boundary that finds the engine outside.
-    if (cfg_.tiering && cache_.entry(idx).bundle.tier >= 1) {
-        const hsd::HotSpotRecord &rec = cache_.entry(idx).bundle.record;
-        for (std::size_t j = 0; j < cache_.size(); ++j) {
-            const CacheEntry &o = cache_.entry(j);
-            if (j != idx && o.resident && o.bundle.tier == 0 &&
-                hsd::sameHotSpot(o.bundle.record, rec, cacheMatch_) &&
-                engineReferences(o.installed.funcs)) {
-                ++stats_.promotionDeferrals;
-                pendingActivations_.push_back(entry_id);
-                return;
-            }
+    const bool promoting = cfg_.tiering && cache_.entry(idx).bundle.tier >= 1;
+    bool twin_resident = false;
+    for (std::size_t j = promoting ? twinOf(rec, 0) : PackageCache::npos;
+         j != PackageCache::npos; j = twinOf(rec, 0, j + 1)) {
+        const CacheEntry &o = cache_.entry(j);
+        if (o.resident && engineReferences(o.installed.funcs)) {
+            ++stats_.promotionDeferrals;
+            pendingActivations_.push_back(entry_id);
+            return;
         }
+        twin_resident = twin_resident || o.resident;
     }
 
     // Install gate: no bundle reaches the LivePatcher without passing
@@ -1031,32 +988,13 @@ RuntimeController::activate(std::uint64_t entry_id)
             // A rejected tier-1 never touches its tier-0 twin — the
             // healthy fast bundle keeps serving the phase through the
             // quarantine that follows.
-            if (cfg_.tiering && cache_.entry(idx).bundle.tier >= 1) {
-                const hsd::HotSpotRecord &rec =
-                    cache_.entry(idx).bundle.record;
-                for (std::size_t j = 0; j < cache_.size(); ++j) {
-                    const CacheEntry &o = cache_.entry(j);
-                    if (j != idx && o.resident && o.bundle.tier == 0 &&
-                        hsd::sameHotSpot(o.bundle.record, rec,
-                                         cacheMatch_)) {
-                        ++stats_.promotionGateRejects;
-                        break;
-                    }
-                }
-            }
-            CacheEntry gone = cache_.remove(idx);
-            ++stats_.verifierRejects;
-            stats_.bundles[gone.bundleIndex].rejected = true;
-            stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
-            cache_.quarantine(gone.bundle.record, quantum_,
-                              cfg_.quarantineBaseQuanta,
-                              cfg_.quarantineMaxQuanta);
-            ++stats_.quarantines;
+            if (twin_resident)
+                ++stats_.promotionGateRejects;
             // A shared-cache bundle the gate rejected is poisoned for
             // every consumer (the gate is deterministic in the bundle);
             // an injected flip taints too — conservative, the copy is
             // merely re-synthesized elsewhere.
-            taintShared(gone);
+            retire(idx, Retire::GateReject);
             return;
         }
     }
@@ -1064,13 +1002,10 @@ RuntimeController::activate(std::uint64_t entry_id)
     // The gate passed: a tier-1 install is now committed, so retire any
     // tier-0 twin through the lazy-deopt path before computing launch-arc
     // owners (the twin holds exactly those arcs; this is a promotion, not
-    // a displacement).
-    if (cfg_.tiering && cache_.entry(idx).bundle.tier >= 1) {
-        retireTier0Twins(entry_id);
-        idx = cache_.findById(entry_id);
-        vp_assert(idx != PackageCache::npos,
-                  "installing entry lost during promotion");
-    }
+    // a displacement). Removal shifts the scan's tail down onto j.
+    for (std::size_t j = promoting ? twinOf(rec, 0) : PackageCache::npos;
+         j != PackageCache::npos; j = twinOf(rec, 0, j))
+        retire(j, Retire::Promoted, entry_id);
 
     // A merged bundle past the gate retires the fragments it coalesced,
     // before launch-arc owners are computed: the fragments hold exactly
@@ -1078,13 +1013,20 @@ RuntimeController::activate(std::uint64_t entry_id)
     // here (merge absorption, with usage inheritance) keeps them out of
     // the displacement count below. Ordering with promotion: tier-0
     // twins go first — a merged tier-1 retires its own fast twin as a
-    // promotion, then the phase's fragments as a merge.
-    if (cfg_.mergeOverlapping && !cache_.entry(idx).mergedFrom.empty()) {
-        retireMergedFragments(entry_id);
-        idx = cache_.findById(entry_id);
-        vp_assert(idx != PackageCache::npos,
-                  "installing entry lost during fragment retirement");
+    // promotion, then the phase's fragments as a merge. Ids are never
+    // reused, so a fragment evicted or displaced since the merge was
+    // submitted resolves to npos and is skipped (its record is already
+    // inside the merged bundle's; nothing is lost).
+    const std::vector<std::uint64_t> frags =
+        cache_.entry(cache_.findById(entry_id)).mergedFrom;
+    for (std::uint64_t id : frags) {
+        const std::size_t i = cache_.findById(id);
+        if (i != PackageCache::npos)
+            retire(i, Retire::Absorbed, entry_id);
     }
+    idx = cache_.findById(entry_id);
+    vp_assert(idx != PackageCache::npos,
+              "installing entry lost during twin/fragment retirement");
 
     // The bundle being activated is the freshest evidence of what is hot
     // right now: it displaces whatever resident bundle holds its launch
@@ -1094,25 +1036,10 @@ RuntimeController::activate(std::uint64_t entry_id)
         patcher_.launchPointsOf(cache_.entry(idx).bundle);
     std::vector<std::size_t> owners;
     for (const Patch &p : wants) {
-        if (!patcher_.diverted(p))
-            continue;
-        for (std::size_t j = 0; j < cache_.size(); ++j) {
-            const CacheEntry &o = cache_.entry(j);
-            if (!o.resident || j == idx)
-                continue;
-            const bool owns = std::any_of(
-                o.installed.patches.begin(), o.installed.patches.end(),
-                [&](const Patch &op) {
-                    return op.at == p.at && op.field == p.field;
-                });
-            if (owns) {
-                if (std::find(owners.begin(), owners.end(), j) ==
-                    owners.end()) {
-                    owners.push_back(j);
-                }
-                break;
-            }
-        }
+        const std::size_t o = arcOwner(p);
+        if (o != PackageCache::npos &&
+            std::find(owners.begin(), owners.end(), o) == owners.end())
+            owners.push_back(o);
     }
     // A displaced victim goes dormant, but its branch history must not
     // go with it when the winner already covers the victim's working
@@ -1128,50 +1055,28 @@ RuntimeController::activate(std::uint64_t entry_id)
     // nearly all of it. A genuinely different sibling phase displaced
     // off shared dispatcher arcs must NOT leak its branches into the
     // winner's identity, or later detections of the sibling alias onto
-    // the winner and its own bundle goes cold.
-    if (!owners.empty()) {
-        CacheEntry &winner = cache_.entry(idx);
-        const std::size_t cap =
-            2 * winner.bundle.record.branches.size() - 1;
-        for (std::size_t j : owners) {
-            const CacheEntry &victim = cache_.entry(j);
-            if (!hsd::subsumesHotSpot(winner.bundle.record,
-                                      victim.bundle.record,
-                                      cfg_.vp.filter)) {
-                continue;
-            }
-            winner.bundle.record =
-                mergeRecords(std::move(winner.bundle.record),
-                             victim.bundle.record, cap);
-        }
+    // the winner and its own bundle goes cold. Displaced victims stay in
+    // the cache (dormant), so the owner indices hold through the loop.
+    hsd::HotSpotRecord &won = cache_.entry(idx).bundle.record;
+    const std::size_t cap = 2 * won.branches.size() - 1;
+    for (std::size_t j : owners) {
+        const hsd::HotSpotRecord &victim = cache_.entry(j).bundle.record;
+        if (hsd::subsumesHotSpot(won, victim, cfg_.vp.filter))
+            won = mergeRecords(std::move(won), victim, cap);
+        retire(j, Retire::Displaced);
     }
-    for (std::size_t j : owners)
-        displace(j);
 
-    InstalledBundle ib = patcher_.install(cache_.entry(idx).bundle);
+    cache_.setResident(idx, patcher_.install(cache_.entry(idx).bundle));
     if (cfg_.verifyAfterPatch) {
         if (Status st = ir::verifyProgram(live_, "runtime install"); !st) {
             // The splice broke the live program: roll it back through
             // the undo log, quarantine the phase, keep running on
-            // original code. The entry never became resident, so no
-            // weight was ever charged.
+            // original code.
             vp_warn("install rolled back: ", st.message());
-            patcher_.unpatch(ib);
-            zombies_.push_back(ib.funcs);
-            ++stats_.installRollbacks;
-            const CacheEntry &bad = cache_.entry(idx);
-            cache_.quarantine(bad.bundle.record, quantum_,
-                              cfg_.quarantineBaseQuanta,
-                              cfg_.quarantineMaxQuanta);
-            ++stats_.quarantines;
-            stats_.bundles[bad.bundleIndex].rejected = true;
-            stats_.bundles[bad.bundleIndex].evictedQuantum = quantum_;
-            taintShared(bad);
-            cache_.remove(idx);
+            retire(idx, Retire::RolledBack);
             return;
         }
     }
-    cache_.setResident(idx, std::move(ib));
     CacheEntry &e = cache_.entry(idx);
     e.coldQuanta = 0;
     e.provedHealthy = false;
@@ -1205,129 +1110,6 @@ RuntimeController::activate(std::uint64_t entry_id)
 }
 
 void
-RuntimeController::retireTier0Twins(std::uint64_t installing_id)
-{
-    const std::size_t self = cache_.findById(installing_id);
-    if (self == PackageCache::npos)
-        return;
-    const hsd::HotSpotRecord rec = cache_.entry(self).bundle.record;
-
-    // Collect ids first — removal shifts indices under the scan.
-    std::vector<std::uint64_t> twins;
-    for (std::size_t i = 0; i < cache_.size(); ++i) {
-        const CacheEntry &o = cache_.entry(i);
-        if (o.id != installing_id && o.bundle.tier == 0 &&
-            hsd::sameHotSpot(o.bundle.record, rec, cacheMatch_)) {
-            twins.push_back(o.id);
-        }
-    }
-    for (std::uint64_t id : twins) {
-        const std::size_t i = cache_.findById(id);
-        if (i == PackageCache::npos)
-            continue;
-        CacheEntry gone = cache_.remove(i);
-        if (gone.resident) {
-            patcher_.unpatch(gone.installed);
-            if (engineReferences(gone.installed.funcs))
-                ++stats_.lazyDeopts;
-            zombies_.push_back(gone.installed.funcs);
-        }
-        stats_.bundles[gone.bundleIndex].promotedQuantum = quantum_;
-        stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
-        ++stats_.promotions;
-
-        // The phase may finish this occurrence inside the unpatched
-        // tier-0 clone (vacuum-packed loops rarely exit); hand those
-        // funcs to the promoted entry so the tail reads as its activity,
-        // biased by what the twin already charged to its own stats.
-        const std::size_t si = cache_.findById(installing_id);
-        if (si != PackageCache::npos) {
-            CacheEntry &self = cache_.entry(si);
-            self.allFuncs.insert(self.allFuncs.end(),
-                                 gone.allFuncs.begin(),
-                                 gone.allFuncs.end());
-            self.usageBias += gone.usageBias +
-                              stats_.bundles[gone.bundleIndex].instsRetired;
-        }
-    }
-}
-
-void
-RuntimeController::retireMergedFragments(std::uint64_t installing_id)
-{
-    const std::size_t self_idx = cache_.findById(installing_id);
-    if (self_idx == PackageCache::npos)
-        return;
-
-    // Snapshot the id list — removal shifts indices under findById, and
-    // the installing entry itself moves. Ids are never reused, so a
-    // fragment evicted or displaced since the merge was submitted
-    // resolves to npos and is skipped (its record is already inside the
-    // merged bundle's; nothing is lost).
-    const std::vector<std::uint64_t> frags =
-        cache_.entry(self_idx).mergedFrom;
-    for (std::uint64_t id : frags) {
-        if (id == installing_id)
-            continue;
-        const std::size_t i = cache_.findById(id);
-        if (i == PackageCache::npos)
-            continue;
-        CacheEntry gone = cache_.remove(i);
-        if (gone.resident) {
-            patcher_.unpatch(gone.installed);
-            if (engineReferences(gone.installed.funcs))
-                ++stats_.lazyDeopts;
-            zombies_.push_back(gone.installed.funcs);
-        }
-        stats_.bundles[gone.bundleIndex].evictedQuantum = quantum_;
-        ++stats_.fragmentsRetired;
-
-        // The engine may finish this occurrence inside the unpatched
-        // fragment clone; hand its funcs to the merged entry — exactly
-        // the promotion inheritance — so the lazy-deopt tail counts as
-        // the merged bundle's activity, biased by what the fragment
-        // already charged to its own stats.
-        const std::size_t si = cache_.findById(installing_id);
-        if (si != PackageCache::npos) {
-            CacheEntry &self = cache_.entry(si);
-            self.allFuncs.insert(self.allFuncs.end(),
-                                 gone.allFuncs.begin(),
-                                 gone.allFuncs.end());
-            self.usageBias += gone.usageBias +
-                              stats_.bundles[gone.bundleIndex].instsRetired;
-        }
-    }
-}
-
-void
-RuntimeController::retireTier0AtEnd()
-{
-    if (!cfg_.tiering)
-        return;
-    for (std::size_t i = 0; i < cache_.size(); ++i) {
-        CacheEntry &e = cache_.entry(i);
-        if (!e.resident || e.bundle.tier != 0)
-            continue;
-        patcher_.unpatch(e.installed);
-        cache_.clearResident(i);
-        stats_.bundles[e.bundleIndex].evictedQuantum = quantum_;
-        ++stats_.tier0EndOfRunRetires;
-    }
-}
-
-void
-RuntimeController::displace(std::size_t idx)
-{
-    CacheEntry &e = cache_.entry(idx);
-    patcher_.unpatch(e.installed);
-    if (engineReferences(e.installed.funcs))
-        ++stats_.lazyDeopts; // tombstoned later, once the engine drains
-    zombies_.push_back(e.installed.funcs);
-    cache_.clearResident(idx);
-    ++stats_.displacements;
-}
-
-void
 RuntimeController::evictOverCapacity()
 {
     while (cache_.overCapacity()) {
@@ -1342,11 +1124,7 @@ RuntimeController::evictOverCapacity()
             ++stats_.deferredEvictions;
             break;
         }
-        CacheEntry e = cache_.remove(v);
-        patcher_.unpatch(e.installed);
-        if (engineReferences(e.installed.funcs))
-            ++stats_.lazyDeopts;
-        zombies_.push_back(e.installed.funcs);
+        retire(v, Retire::Evicted);
         if (cfg_.verifyAfterPatch) {
             if (Status st = ir::verifyProgram(live_, "runtime evict");
                 !st) {
@@ -1354,9 +1132,103 @@ RuntimeController::evictOverCapacity()
                 ++stats_.liveVerifyFailures;
             }
         }
-        ++stats_.evictions;
-        stats_.bundles[e.bundleIndex].evictedQuantum = quantum_;
     }
+}
+
+void
+RuntimeController::retire(std::size_t idx, Retire why,
+                          std::optional<std::uint64_t> heir)
+{
+    const RetireRule &rule = kRetireRules[static_cast<std::size_t>(why)];
+    CacheEntry &e = cache_.entry(idx);
+    BundleStats &bs = stats_.bundles[e.bundleIndex];
+    if (e.resident) {
+        patcher_.unpatch(e.installed);
+        if (rule.steps & kZombie) {
+            // Arcs are restored now; the clones are tombstoned once the
+            // engine has drained out of them (lazy deopt).
+            if (engineReferences(e.installed.funcs))
+                ++stats_.lazyDeopts;
+            zombies_.push_back(e.installed.funcs);
+        }
+    }
+    if (e.resident || !(rule.steps & kResidentOnly))
+        ++(stats_.*rule.counter);
+    if (rule.steps & kEvicted)
+        bs.evictedQuantum = quantum_;
+    if (rule.steps & kPromoted)
+        bs.promotedQuantum = quantum_;
+    if (rule.steps & kRejected)
+        bs.rejected = true;
+    if (rule.steps & kDeopted)
+        ++bs.watchdogDeopts;
+    if (rule.steps & kOffense) {
+        cache_.quarantine(e.bundle.record, quantum_,
+                          cfg_.quarantineBaseQuanta,
+                          cfg_.quarantineMaxQuanta);
+        ++stats_.quarantines;
+        // A misbehaving bundle the fleet's shared cache served poisons
+        // the shared copy: report it so the fleet evicts and embargoes it.
+        if (synthCache_ && e.fromSharedCache) {
+            synthCache_->taint(e.bundle.record, e.bundle.tier);
+            ++stats_.sharedCacheTaints;
+        }
+    }
+    if (rule.steps & kDormant) {
+        cache_.clearResident(idx);
+        return;
+    }
+
+    const CacheEntry gone = cache_.remove(idx);
+    const std::size_t h =
+        (rule.steps & kInherit) && heir ? cache_.findById(*heir)
+                                   : PackageCache::npos;
+    if (h != PackageCache::npos) {
+        CacheEntry &self = cache_.entry(h);
+        self.allFuncs.insert(self.allFuncs.end(), gone.allFuncs.begin(),
+                             gone.allFuncs.end());
+        self.usageBias +=
+            gone.usageBias + stats_.bundles[gone.bundleIndex].instsRetired;
+    }
+}
+
+void
+RuntimeController::unpatchResidents()
+{
+    for (std::size_t i = 0; i < cache_.size(); ++i) {
+        if (cache_.entry(i).resident)
+            patcher_.unpatch(cache_.entry(i).installed);
+    }
+}
+
+std::size_t
+RuntimeController::twinOf(const hsd::HotSpotRecord &rec, unsigned tier,
+                          std::size_t from) const
+{
+    for (std::size_t i = from; i < cache_.size(); ++i) {
+        const CacheEntry &c = cache_.entry(i);
+        if ((c.bundle.tier == 0) == (tier == 0) &&
+            hsd::sameHotSpot(c.bundle.record, rec, cacheMatch_))
+            return i;
+    }
+    return PackageCache::npos;
+}
+
+std::size_t
+RuntimeController::arcOwner(const Patch &p) const
+{
+    if (!patcher_.diverted(p))
+        return PackageCache::npos;
+    for (std::size_t i = 0; i < cache_.size(); ++i) {
+        const CacheEntry &o = cache_.entry(i);
+        if (o.resident &&
+            std::any_of(o.installed.patches.begin(),
+                        o.installed.patches.end(), [&](const Patch &op) {
+                            return op.at == p.at && op.field == p.field;
+                        }))
+            return i;
+    }
+    return PackageCache::npos;
 }
 
 bool
@@ -1365,15 +1237,6 @@ RuntimeController::engineReferences(const std::vector<ir::FuncId> &funcs) const
     return std::any_of(funcs.begin(), funcs.end(), [&](ir::FuncId f) {
         return engine_.referencesFunction(f);
     });
-}
-
-void
-RuntimeController::taintShared(const CacheEntry &e)
-{
-    if (!synthCache_ || !e.fromSharedCache)
-        return;
-    synthCache_->taint(e.bundle.record, e.bundle.tier);
-    ++stats_.sharedCacheTaints;
 }
 
 bool

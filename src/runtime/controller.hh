@@ -31,6 +31,18 @@
  * tier-0 hit is a promotion trigger, never a steady state). Any tier-0
  * still resident at end of run is retired before stats are collected.
  *
+ * Retirement: retire() is the one place a cache entry leaves residency
+ * or the cache — displacement, capacity eviction, same-tier replacement,
+ * promotion, merged-fragment absorption, watchdog deopt, gate reject,
+ * install rollback and the end-of-run tier-0 sweep. Each Retire reason
+ * is one row of a table that says whether the entry stays dormant,
+ * whether its unpatched functions become a lazy-deopt zombie, whether
+ * the retirement is an offense (quarantine + shared-cache taint), and
+ * which counters and BundleStats fields it updates, so a lifecycle hook
+ * (an event log, fleet-level pool accounting) attaches in one place.
+ * Only unpatchResidents() — the end-of-run / crash-unwind drain of the
+ * undo log — unpatches outside it, and it leaves cache and stats as is.
+ *
  * Determinism: a job submitted at quantum q installs at quantum
  * q + latency(record, tier), where the per-tier latency model is a pure
  * function of the record (RuntimeConfig). If the worker has not finished
@@ -49,6 +61,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -198,9 +211,8 @@ class RuntimeController
         std::uint64_t submitQuantum = 0;
         std::uint64_t readyQuantum = 0; ///< deterministic install point
 
-        /** The record is a coalesced union of overlapping cache entries;
-         *  mergedFrom holds their ids (retired once the bundle installs). */
-        bool merged = false;
+        /** Non-empty when the record is a coalesced union of overlapping
+         *  cache entries: their ids (retired once the bundle installs). */
         std::vector<std::uint64_t> mergedFrom;
 
         /** Result was served by the shared SynthesisCache (propagated
@@ -212,6 +224,21 @@ class RuntimeController
         std::shared_ptr<std::atomic<bool>> done;
     };
 
+    /** Why a cache entry is retired; indexes the retirement table in
+     *  controller.cc (see DESIGN.md for the table itself). */
+    enum class Retire
+    {
+        Displaced,     ///< a newer bundle took its launch arcs
+        Evicted,       ///< LRU victim over the weight capacity
+        Superseded,    ///< a fresh same-phase build replaced it
+        Promoted,      ///< its tier-1 twin passed the install gate
+        Absorbed,      ///< a merged bundle covers this fragment
+        WatchdogDeopt, ///< resident but cold for too long
+        GateReject,    ///< the install gate refused the bundle
+        RolledBack,    ///< the live program failed verify after splice
+        EndOfRun,      ///< unpromoted tier-0 still resident at exit
+    };
+
     void boundary();
     void sweepZombies();
     void refreshRecency();
@@ -219,26 +246,42 @@ class RuntimeController
     void watchdog();
     void corruptRecord(hsd::HotSpotRecord &rec);
     void drainDetections();
-    void submitSynthesis(const hsd::HotSpotRecord &rec, bool merged = false,
-                         std::vector<std::uint64_t> merged_from = {});
-    void submitJob(const hsd::HotSpotRecord &rec, unsigned tier, bool merged,
+    void submitJob(const hsd::HotSpotRecord &rec, unsigned tier,
                    const std::vector<std::uint64_t> &merged_from);
-    bool tierInFlight(const hsd::HotSpotRecord &rec, unsigned tier) const;
+    /** A queued job builds @p rec's phase (at @p tier, if given). */
+    bool inFlight(const hsd::HotSpotRecord &rec,
+                  std::optional<unsigned> tier = std::nullopt) const;
     void completeReadyJobs();
     void completeJob(const Job &job);
     void processActivations();
     void activate(std::uint64_t entry_id);
-    void retireTier0Twins(std::uint64_t installing_id);
-    void retireMergedFragments(std::uint64_t installing_id);
-    void retireTier0AtEnd();
-    void displace(std::size_t idx);
     void evictOverCapacity();
     bool engineReferences(const std::vector<ir::FuncId> &funcs) const;
 
-    /** Entry @p e misbehaved (gate reject, install rollback, watchdog
-     *  deopt): if its bundle came from the shared cache, report the
-     *  poisoning so the fleet evicts and embargoes the shared copy. */
-    void taintShared(const CacheEntry &e);
+    /**
+     * Retire cache entry @p idx for reason @p why: unpatch it if
+     * resident, then apply the reason's row of the retirement table.
+     * Entries that leave the cache shift later indices down by one. An
+     * @p heir (promotion, merged-fragment absorption) inherits the
+     * entry's usage funcs, so the engine finishing the phase inside the
+     * unpatched clone reads as the heir's activity.
+     */
+    void retire(std::size_t idx, Retire why,
+                std::optional<std::uint64_t> heir = std::nullopt);
+
+    /** Unpatch every resident entry without touching the cache or the
+     *  stats (end of run and crash unwind: the undo log must drain). */
+    void unpatchResidents();
+
+    /** Index of the first entry at or after @p from holding a tier-0
+     *  (@p tier 0) or tier-1 build of @p rec's phase (loose match), or
+     *  PackageCache::npos. */
+    std::size_t twinOf(const hsd::HotSpotRecord &rec, unsigned tier,
+                       std::size_t from = 0) const;
+
+    /** Index of the resident entry that owns launch arc @p p in the live
+     *  program, or PackageCache::npos (arcs have at most one owner). */
+    std::size_t arcOwner(const Patch &p) const;
 
     /** True while @p e is resident and retired a meaningful share of the
      *  last quantum inside its packages. */
